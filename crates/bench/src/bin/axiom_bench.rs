@@ -92,25 +92,6 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// One writer publishes data behind a sync flag; `readers` threads each
-/// sync-read the flag and touch the data only when they saw it set. Every
-/// subset of readers can win the race to the flag, so the explorer walks
-/// an interleaving space exponential in `readers`, while each relational
-/// candidate fixes one flag observation per reader and the Lemma 1 fast
-/// path emits its unique result directly.
-fn mp_fan(readers: usize) -> Program {
-    let mut threads = vec![Thread::new().write(Loc(0), 42).sync_write(Loc(1), 1)];
-    for _ in 0..readers {
-        threads.push(
-            Thread::new()
-                .sync_read(Loc(1), Reg(0))
-                .branch_eq(Reg(0), 0u64, 3)
-                .read(Loc(0), Reg(1)),
-        );
-    }
-    Program::new(threads).expect("mp_fan is well-formed")
-}
-
 /// `k` writers each sync-publish a distinct location; `k` readers each
 /// sync-read two of them (IRIW widened from 2+2 to k+k).
 fn iriw_fan(k: usize) -> Program {
@@ -156,7 +137,7 @@ fn scaled_workload(smoke: bool) -> Vec<(String, Program)> {
     let mut programs = Vec::new();
     let fan_sizes: &[usize] = if smoke { &[4, 5] } else { &[6, 7, 8] };
     for &k in fan_sizes {
-        programs.push((format!("scaled/mp_fan_{k}"), mp_fan(k)));
+        programs.push((format!("scaled/mp_fan_{k}"), corpus::mp_fan(k)));
     }
     let iriw_sizes: &[usize] = if smoke { &[3, 4] } else { &[3, 4, 5] };
     for &k in iriw_sizes {

@@ -66,6 +66,26 @@ pub fn message_passing_data() -> Program {
     .expect("static corpus program is valid")
 }
 
+/// Message passing fanned out: one writer publishes data behind a sync
+/// flag; `readers` threads each sync-read the flag once and touch the
+/// data only when they saw it set. DRF0. Every subset of readers can win
+/// the race to the flag, so the interleaving count is exponential in
+/// `readers`, while each candidate execution fixes one flag observation
+/// per reader.
+#[must_use]
+pub fn mp_fan(readers: usize) -> Program {
+    let mut threads = vec![Thread::new().write(LOC_X, 42).sync_write(LOC_Y, 1)];
+    for _ in 0..readers {
+        threads.push(
+            Thread::new()
+                .sync_read(LOC_Y, Reg(0))
+                .branch_eq(Reg(0), 0u64, 3)
+                .read(LOC_X, Reg(1)),
+        );
+    }
+    Program::new(threads).expect("static corpus program is valid")
+}
+
 /// Synchronized message passing: the flag is a synchronization location
 /// and the consumer spins on it (bounded to `spins` attempts so idealized
 /// exploration terminates). DRF0.
