@@ -5,12 +5,13 @@
 //! ([`wo_trace::synth::SynthStream`]) plus a simulate→file→verdict
 //! pipeline:
 //!
-//! * **cold** — single shard, single thread: the raw per-event cost of
-//!   the vector-clock engine (join / snapshot / epoch check / tick);
-//! * **sharded** — the default shard count on the work-stealing pool:
-//!   parallel speedup of phase-2 checking. The canonical report must be
-//!   **byte-identical** to the cold report (the bench exits nonzero on
-//!   any divergence — determinism is load-bearing, not best-effort);
+//! * **memory** — `check_ops` over the materialized stream: the raw
+//!   per-event cost of the vector-clock engine (probe / join / epoch
+//!   check / tick / publish);
+//! * **file** — the same stream written as a trace file and checked with
+//!   `check_trace_file`: decoding plus checking, the `wo_trace check`
+//!   path. Its canonical report must be **byte-identical** to the
+//!   in-memory report (the bench exits nonzero on any divergence);
 //! * **pipeline** — `memsim::sweep::sweep_traced` writes a multi-segment
 //!   trace file, `check_trace_file` streams it back: end-to-end
 //!   simulate → serialize → deserialize → verdict throughput.
@@ -20,11 +21,12 @@
 //! ```text
 //! trace_bench [--smoke] [--events N] [--out PATH]
 //!   --smoke     CI variant: smaller stream, fewer pipeline seeds
-//!   --events N  synthetic events in the cold/sharded phases
+//!   --events N  synthetic events in the memory/file phases
 //!   --out PATH  where to write the JSON (default BENCH_trace.json)
 //! ```
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -32,7 +34,7 @@ use litmus::corpus;
 use memsim::{presets, sweep, TraceWriter};
 use wo_bench::table;
 use wo_trace::synth::{SynthConfig, SynthStream};
-use wo_trace::{check_ops, check_trace_file, CheckerConfig, Verdict};
+use wo_trace::{check_ops, check_trace_file, write_synth, CheckerConfig, Verdict};
 
 struct Args {
     smoke: bool,
@@ -90,27 +92,32 @@ fn main() {
     // generation.
     let ops: Vec<_> = SynthStream::new(synth).collect();
 
-    // ---- cold: one shard, one thread — the per-event floor.
-    let cold_cfg = CheckerConfig { shards: 1, threads: 1, ..CheckerConfig::default() };
-    let cold_t0 = Instant::now();
-    let cold = check_ops(&ops, synth.procs, cold_cfg).expect("cold check");
-    let cold_secs = cold_t0.elapsed().as_secs_f64();
-    let cold_eps = ops.len() as f64 / cold_secs.max(1e-9);
-    assert_eq!(cold.verdict, Verdict::Drf0, "the locked synth stream must be clean");
+    // ---- memory: the materialized stream through `check_ops`.
+    let mem_t0 = Instant::now();
+    let memory = check_ops(&ops, synth.procs, CheckerConfig::default()).expect("in-memory check");
+    let mem_secs = mem_t0.elapsed().as_secs_f64();
+    let mem_eps = ops.len() as f64 / mem_secs.max(1e-9);
+    assert_eq!(memory.verdict, Verdict::Drf0, "the locked synth stream must be clean");
 
-    // ---- sharded: default shards on the work-stealing pool.
-    let sharded_cfg = CheckerConfig::default();
-    let sharded_t0 = Instant::now();
-    let sharded = check_ops(&ops, synth.procs, sharded_cfg).expect("sharded check");
-    let sharded_secs = sharded_t0.elapsed().as_secs_f64();
-    let sharded_eps = ops.len() as f64 / sharded_secs.max(1e-9);
+    // ---- file: the same stream as a trace file, decoded and checked.
+    let synth_path =
+        std::env::temp_dir().join(format!("wo-trace-bench-synth-{}.wot", std::process::id()));
+    let file = std::fs::File::create(&synth_path).expect("create synth trace file");
+    let mut writer = TraceWriter::new(std::io::BufWriter::new(file)).expect("trace writer");
+    write_synth(synth, "synth", &mut writer).expect("write synth trace");
+    writer.finish().expect("finish trace").flush().expect("flush trace");
+    let file_t0 = Instant::now();
+    let from_file =
+        check_trace_file(&synth_path, CheckerConfig::default()).expect("file check");
+    let file_secs = file_t0.elapsed().as_secs_f64();
+    let file_eps = from_file.events as f64 / file_secs.max(1e-9);
+    let _ = std::fs::remove_file(&synth_path);
 
-    // The whole design hinges on this: parallelism must never change the
-    // report. Divergence is a hard failure, not a footnote.
-    if sharded.canonical_text() != cold.canonical_text() {
-        eprintln!("FATAL: sharded report diverged from the single-shard report");
-        eprintln!("--- cold ---\n{}", cold.canonical_text());
-        eprintln!("--- sharded ---\n{}", sharded.canonical_text());
+    // The file path must report exactly what the in-memory path does.
+    if from_file.canonical_text() != memory.canonical_text() {
+        eprintln!("FATAL: the trace-file report diverged from the in-memory report");
+        eprintln!("--- memory ---\n{}", memory.canonical_text());
+        eprintln!("--- file ---\n{}", from_file.canonical_text());
         std::process::exit(1);
     }
 
@@ -128,7 +135,6 @@ fn main() {
     let file = std::fs::File::create(&trace_path).expect("create trace file");
     let mut writer = TraceWriter::new(std::io::BufWriter::new(file)).expect("trace writer");
     sweep::sweep_traced(&cells, 0, &mut writer).expect("traced sweep");
-    use std::io::Write as _;
     writer.finish().expect("finish trace").flush().expect("flush trace");
     let sim_secs = pipe_t0.elapsed().as_secs_f64();
     let check_t0 = Instant::now();
@@ -144,16 +150,16 @@ fn main() {
     // ---- report.
     let rows = vec![
         vec![
-            "cold (1 shard)".into(),
+            "memory (check_ops)".into(),
             format!("{}", ops.len()),
-            format!("{cold_secs:.3}"),
-            format!("{:.2}M", cold_eps / 1e6),
+            format!("{mem_secs:.3}"),
+            format!("{:.2}M", mem_eps / 1e6),
         ],
         vec![
-            format!("sharded ({})", sharded_cfg.shards),
-            format!("{}", ops.len()),
-            format!("{sharded_secs:.3}"),
-            format!("{:.2}M", sharded_eps / 1e6),
+            "file (read+check)".into(),
+            format!("{}", from_file.events),
+            format!("{file_secs:.3}"),
+            format!("{:.2}M", file_eps / 1e6),
         ],
         vec![
             "pipeline (read+check)".into(),
@@ -165,9 +171,9 @@ fn main() {
     println!("{}", table(&["phase", "events", "seconds", "events/sec"], &rows));
     println!(
         "state high-water: {} tracked locations, {} sync locations, ~{} KiB",
-        cold.tracked_locations_high_water,
-        cold.sync_locations_high_water,
-        cold.approx_state_bytes_high_water / 1024
+        memory.tracked_locations_high_water,
+        memory.sync_locations_high_water,
+        memory.approx_state_bytes_high_water / 1024
     );
     println!(
         "pipeline: {seeds} simulated runs traced to {trace_bytes} bytes in {sim_secs:.3}s, verdict {}",
@@ -181,23 +187,20 @@ fn main() {
     let _ = writeln!(json, "  \"procs\": {},", synth.procs);
     let _ = writeln!(json, "  \"locations\": {},", synth.locations);
     let _ = writeln!(json, "  \"sync_percent\": {},", synth.sync_percent);
-    let _ = writeln!(json, "  \"cold\": {{");
-    let _ = writeln!(json, "    \"shards\": 1,");
-    let _ = writeln!(json, "    \"seconds\": {cold_secs:.6},");
-    let _ = writeln!(json, "    \"events_per_sec\": {cold_eps:.0},");
-    let _ = writeln!(json, "    \"verdict\": \"{}\",", cold.verdict);
+    let _ = writeln!(json, "  \"memory\": {{");
+    let _ = writeln!(json, "    \"seconds\": {mem_secs:.6},");
+    let _ = writeln!(json, "    \"events_per_sec\": {mem_eps:.0},");
+    let _ = writeln!(json, "    \"verdict\": \"{}\",", memory.verdict);
     let _ = writeln!(
         json,
         "    \"approx_state_bytes_high_water\": {}",
-        cold.approx_state_bytes_high_water
+        memory.approx_state_bytes_high_water
     );
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"sharded\": {{");
-    let _ = writeln!(json, "    \"shards\": {},", sharded_cfg.shards);
-    let _ = writeln!(json, "    \"seconds\": {sharded_secs:.6},");
-    let _ = writeln!(json, "    \"events_per_sec\": {sharded_eps:.0},");
-    let _ = writeln!(json, "    \"speedup\": {:.3},", sharded_eps / cold_eps.max(1e-9));
-    let _ = writeln!(json, "    \"report_identical_to_cold\": true");
+    let _ = writeln!(json, "  \"file\": {{");
+    let _ = writeln!(json, "    \"seconds\": {file_secs:.6},");
+    let _ = writeln!(json, "    \"events_per_sec\": {file_eps:.0},");
+    let _ = writeln!(json, "    \"report_identical_to_memory\": true");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"pipeline\": {{");
     let _ = writeln!(json, "    \"segments\": {},", pipeline.segments);

@@ -32,9 +32,11 @@ type Access = (u32, OpId);
 /// never shadowed by a later synchronization access: only sync-sync pairs
 /// on a location are exempt from racing, and collapsing the classes would
 /// hide data accesses behind that exemption. Per class there is one slot
-/// per processor — `4 × procs` slots in a flat boxed array, so a location
-/// costs a fixed [`LocationState::approx_bytes`] regardless of how many
-/// events touch it.
+/// per processor — `4 × procs` slots, stored as two parallel lanes: a
+/// `u32` epoch lane that every check scans, and an [`OpId`] lane the
+/// scan reads only when an epoch shows a race. Epoch 0 marks an empty
+/// slot (recorded epochs start at 1), so a check is one branch-free
+/// compare over the epochs of a class.
 ///
 /// # Examples
 ///
@@ -53,9 +55,12 @@ type Access = (u32, OpId);
 #[derive(Debug, Clone)]
 pub struct LocationState {
     procs: usize,
-    /// `slots[class * procs + q]` = `P_q`'s last access of this location
-    /// in `class` (see the `*_CLASS` constants).
-    slots: Box<[Option<Access>]>,
+    /// `epochs[class * procs + q]` = the epoch of `P_q`'s last access of
+    /// this location in `class` (see the `*_CLASS` constants), 0 if none.
+    epochs: Box<[u32]>,
+    /// `ids[i]` = the operation recorded in slot `i`; meaningful only
+    /// where `epochs[i] != 0`.
+    ids: Box<[OpId]>,
     /// XOR of one hash contribution per occupied slot, maintained
     /// incrementally through [`LocationState::observe`] /
     /// [`LocationState::undo`] — the undo-coupled hashing hook explorers
@@ -78,11 +83,11 @@ fn slot_contrib(slot: usize, access: Access) -> u64 {
 use crate::vc::mix;
 
 /// A record reversing one [`LocationState::observe`] call (at most two
-/// displaced slots).
+/// displaced slots; an epoch of 0 restores an empty slot).
 #[derive(Debug)]
 pub struct LocationUndo {
-    read: Option<(usize, Option<Access>)>,
-    write: Option<(usize, Option<Access>)>,
+    read: Option<(usize, Access)>,
+    write: Option<(usize, Access)>,
     prev_digest: u64,
 }
 
@@ -92,7 +97,8 @@ impl LocationState {
     pub fn new(procs: usize) -> Self {
         LocationState {
             procs,
-            slots: vec![None; 4 * procs].into_boxed_slice(),
+            epochs: vec![0; 4 * procs].into_boxed_slice(),
+            ids: vec![OpId(0); 4 * procs].into_boxed_slice(),
             digest: 0,
         }
     }
@@ -108,18 +114,14 @@ impl LocationState {
     /// against.
     #[must_use]
     pub fn digest_from_scratch(&self) -> u64 {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|a| slot_contrib(i, a)))
-            .fold(0, |acc, c| acc ^ c)
+        (0..self.epochs.len())
+            .filter(|&i| self.epochs[i] != 0)
+            .fold(0, |acc, i| acc ^ slot_contrib(i, self.slot(i)))
     }
 
-    /// The fixed memory footprint of one location's history, in bytes —
-    /// what a bounded-memory consumer charges per tracked location.
-    #[must_use]
-    pub fn approx_bytes(procs: usize) -> usize {
-        std::mem::size_of::<Self>() + 4 * procs * std::mem::size_of::<Option<Access>>()
+    /// The `(epoch, id)` pair in slot `i` (epoch 0: empty).
+    fn slot(&self, i: usize) -> Access {
+        (self.epochs[i], self.ids[i])
     }
 
     /// Race-checks and records one operation on this location.
@@ -150,14 +152,15 @@ impl LocationState {
         let cur_sync = op.kind.is_sync();
 
         let check = |class: usize, out: &mut Vec<Race>| {
-            let slots = &self.slots[class * procs..(class + 1) * procs];
-            for (q, slot) in slots.iter().enumerate() {
-                if q == p {
-                    continue;
-                }
-                if let Some((at, prev)) = slot {
-                    if *at > clock[q] {
-                        out.push(Race { first: *prev, second: op.id, loc: op.loc });
+            let base = class * procs;
+            let epochs = &self.epochs[base..base + procs];
+            // Branch-free over the slots: an empty slot's epoch 0 is never
+            // above a clock entry, so it cannot hit.
+            let hit = epochs.iter().zip(clock).fold(false, |hit, (&at, &c)| hit | (at > c));
+            if hit {
+                for (q, (&at, &c)) in epochs.iter().zip(clock).enumerate() {
+                    if q != p && at > c {
+                        out.push(Race { first: self.ids[base + q], second: op.id, loc: op.loc });
                     }
                 }
             }
@@ -198,13 +201,13 @@ impl LocationState {
         if op.kind.is_read() {
             let class = if cur_sync { READ_SYNC_CLASS } else { READ_DATA_CLASS };
             let slot = class * procs + p;
-            undo.read = Some((slot, self.slots[slot]));
+            undo.read = Some((slot, self.slot(slot)));
             self.set_slot(slot, (stamp, op.id));
         }
         if op.kind.is_write() {
             let class = if cur_sync { WRITE_SYNC_CLASS } else { WRITE_DATA_CLASS };
             let slot = class * procs + p;
-            undo.write = Some((slot, self.slots[slot]));
+            undo.write = Some((slot, self.slot(slot)));
             self.set_slot(slot, (stamp, op.id));
         }
         undo
@@ -212,21 +215,18 @@ impl LocationState {
 
     /// Overwrites one slot, keeping the XOR digest exact.
     fn set_slot(&mut self, slot: usize, access: Access) {
-        if let Some(old) = self.slots[slot] {
-            self.digest ^= slot_contrib(slot, old);
+        if self.epochs[slot] != 0 {
+            self.digest ^= slot_contrib(slot, self.slot(slot));
         }
         self.digest ^= slot_contrib(slot, access);
-        self.slots[slot] = Some(access);
+        (self.epochs[slot], self.ids[slot]) = access;
     }
 
     /// Reverses the [`LocationState::observe`] call that produced `undo`
     /// (LIFO order, like every undo log in this workspace).
     pub fn undo(&mut self, undo: LocationUndo) {
-        if let Some((slot, prev)) = undo.read {
-            self.slots[slot] = prev;
-        }
-        if let Some((slot, prev)) = undo.write {
-            self.slots[slot] = prev;
+        for (slot, prev) in [undo.read, undo.write].into_iter().flatten() {
+            (self.epochs[slot], self.ids[slot]) = prev;
         }
         self.digest = undo.prev_digest;
     }
@@ -659,7 +659,6 @@ mod tests {
         // Replaying the read finds the write again — the slot survived.
         loc.observe(&r(2, 1, 0), 1, &[0, 0], &mut races);
         assert_eq!(races.len(), 1);
-        assert!(LocationState::approx_bytes(2) > 0);
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //! back **in index order**, so the returned vector is independent of the
 //! thread count and of which worker ran which index. Each worker carries
 //! one piece of reusable state (`S`), created once per worker — the sweep
-//! engine recycles a whole [`crate::Machine`] there, the `wo-trace` shard
-//! engine needs none.
+//! engine recycles a whole [`crate::Machine`] there, `wo-serve`'s batch
+//! phases need none.
 //!
 //! This is the scheduling core [`crate::sweep::sweep`] always had,
-//! extracted so other batch consumers (per-location shard processing in
-//! the streaming trace checker) reuse the same pool instead of growing a
-//! parallel one.
+//! extracted so other batch consumers (`wo-serve`'s parallel batch
+//! phases) reuse the same pool instead of growing a parallel one.
 //!
 //! # Examples
 //!

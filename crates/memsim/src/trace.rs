@@ -817,6 +817,14 @@ impl<R: Read> TraceReader<R> {
                 if count == 0 {
                     return Err(self.corrupt(offset, "empty events block"));
                 }
+                // An event is at least 15 bytes, so a hostile count is
+                // bounded by the (checksummed) payload before allocating.
+                if count as usize > payload.len().saturating_sub(cur.pos) / 15 {
+                    return Err(self.corrupt(
+                        offset,
+                        format!("events block declares {count} events but carries fewer"),
+                    ));
+                }
                 let has_times = self.has_times;
                 let mut records = VecDeque::with_capacity(count as usize);
                 for _ in 0..count {
@@ -1232,6 +1240,35 @@ mod tests {
         match read_trace(&bad[..]) {
             Err(TraceError::Corrupt { detail, .. }) => {
                 assert!(detail.contains("declared 9 events"), "detail: {detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// Seals one block: tag, length, payload, checksum.
+    fn block(tag: u8, payload: &[u8]) -> Vec<u8> {
+        let len = (payload.len() as u32).to_le_bytes();
+        let mut b = vec![tag];
+        b.extend_from_slice(&len);
+        b.extend_from_slice(payload);
+        b.extend_from_slice(&fnv1a64(&[&[tag], &len, payload]).to_le_bytes());
+        b
+    }
+
+    #[test]
+    fn hostile_event_count_is_corrupt_before_allocating() {
+        // A checksum-valid events block claiming 2^32 - 1 events but
+        // carrying one event's worth of bytes: rejected structurally
+        // instead of asking the allocator for ~300 GB.
+        let mut bytes = TraceWriter::new(Vec::new()).unwrap().finish().unwrap();
+        bytes.extend(block(TAG_SEGMENT_START, &[1, 0, 0, 0, 1, 0, b's']));
+        let mut events = u32::MAX.to_le_bytes().to_vec();
+        events.extend_from_slice(&[0; 15]);
+        bytes.extend(block(TAG_EVENTS, &events));
+        assert_eq!(bytes.len(), 64);
+        match read_trace(&bytes[..]) {
+            Err(TraceError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("4294967295 events"), "detail: {detail}");
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }

@@ -770,13 +770,8 @@ fn handle_trace_item(
         BatchItem::TraceOpen { id, release_writes } => {
             let mode =
                 if *release_writes { SyncMode::ReleaseWrites } else { SyncMode::Drf0 };
-            // Only `mode` affects the race set; thread count is a server
-            // tuning knob, so reports stay equal to any local run.
-            trace.checker = Some(StreamChecker::new(CheckerConfig {
-                mode,
-                threads: shared.cfg.pool_threads,
-                ..CheckerConfig::default()
-            }));
+            trace.checker =
+                Some(StreamChecker::new(CheckerConfig { mode, ..CheckerConfig::default() }));
             send_result(shared, writer, *id, &Response::Pong)
         }
         BatchItem::TraceSeg { id, procs, ops } => {

@@ -1,8 +1,7 @@
 //! The wo-trace command-line tool.
 //!
 //! ```text
-//! wo_trace check <FILE> [--shards N] [--threads N] [--release-writes]
-//!                       [--batch N] [--max-locations N] [--max-sync N]
+//! wo_trace check <FILE> [--release-writes] [--max-locations N] [--max-sync N]
 //! wo_trace stats <FILE>
 //! wo_trace top <FILE> [--limit N] [checker flags]
 //! wo_trace emit <PROGRAM> --out FILE [--procs N] [--seeds N] [--policy P]
@@ -11,9 +10,11 @@
 //!                [--seed S]
 //! ```
 //!
-//! `check` exit codes: 0 = DRF0, 1 = racy, 3 = unknown (a memory cap
-//! degraded the verdict), 2 = error (unreadable or corrupt input) — so
-//! scripts can branch on the verdict without parsing output.
+//! `check` streams the file through one sequential race-checking pass
+//! and prints the canonical report. Its exit codes: 0 = DRF0, 1 = racy,
+//! 3 = unknown (a memory cap degraded the verdict), 2 = error (unreadable
+//! or corrupt input) — so scripts can branch on the verdict without
+//! parsing output.
 //!
 //! `<PROGRAM>` is a corpus name (`dekker`, `handoff`, `mp-sync`,
 //! `racy-counter`, `spinlock`, `iriw-sync`) or a path to a litmus file
@@ -33,8 +34,7 @@ use wo_trace::{check_trace_file, write_synth, CheckerConfig, SynthConfig, TraceR
 
 fn usage() -> ! {
     eprintln!(
-        "usage: wo_trace check <FILE> [--shards N] [--threads N] [--release-writes]\n\
-         \x20                      [--batch N] [--max-locations N] [--max-sync N]\n\
+        "usage: wo_trace check <FILE> [--release-writes] [--max-locations N] [--max-sync N]\n\
          \x20      wo_trace stats <FILE>\n\
          \x20      wo_trace top <FILE> [--limit N] [checker flags]\n\
          \x20      wo_trace emit <PROGRAM> --out FILE [--procs N] [--seeds N] [--policy P]\n\
@@ -81,9 +81,6 @@ fn checker_flags(args: &[String], cfg: &mut CheckerConfig) -> Vec<String> {
             })
         };
         match flag.as_str() {
-            "--shards" => cfg.shards = parse_num(flag, value("--shards")),
-            "--threads" => cfg.threads = parse_num(flag, value("--threads")),
-            "--batch" => cfg.batch = parse_num(flag, value("--batch")),
             "--max-locations" => {
                 cfg.max_tracked_locations = parse_num(flag, value("--max-locations"));
             }

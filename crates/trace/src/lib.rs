@@ -10,12 +10,12 @@
 //!
 //! Three layers:
 //!
-//! * [`StreamChecker`] — the sharded incremental vector-clock engine
-//!   (see [`checker`] for the two-phase batch algorithm and the proof
-//!   sketch of shard-count independence). It reuses
-//!   [`memory_model::race::LocationState`] — the same epoch-compressed
-//!   per-location history the exploring `RaceDetector` uses — so the
-//!   streaming and exploring checkers cannot drift apart.
+//! * [`StreamChecker`] — the incremental vector-clock engine: one
+//!   sequential pass that race-checks each event as it arrives (see
+//!   [`checker`]). It reuses [`memory_model::race::LocationState`] — the
+//!   same epoch-compressed per-location history, stored as a flat epoch
+//!   lane plus an id lane, that the exploring `RaceDetector` uses — so
+//!   the streaming and exploring checkers cannot drift apart.
 //! * [`pipeline`] — drivers: [`check_trace_file`] (streamed, bounded),
 //!   [`check_run`] (live [`memsim::RunResult`]), [`check_ops`] (slices).
 //! * [`synth`] — deterministic synthetic streams for benchmarks and
