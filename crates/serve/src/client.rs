@@ -277,9 +277,10 @@ enum AttemptOutcome {
     /// Some items came back with retryable errors; resubmit them after
     /// backoff (the connection stays up).
     Partial(String),
-    /// The server answered the batch frame with a v1 `Malformed` error —
-    /// it only speaks wo-serve/1. Fall back to per-request queries.
-    V1Server,
+    /// The server rejected the whole frame with a bare, non-retryable v1
+    /// error (say, more items than its `--max-batch-items`) and dropped
+    /// the connection. Resubmitting the same frame cannot help.
+    Rejected(ErrorCode, String),
 }
 
 /// The pipelined `wo-serve/2` client: one persistent connection, whole
@@ -292,9 +293,10 @@ enum AttemptOutcome {
 /// and nothing else. Per-item retryable errors (`Overloaded`,
 /// `ShuttingDown`) are resubmitted the same way; per-item permanent
 /// errors come back in the result vector as [`Response::Error`] so the
-/// rest of the batch is unaffected. Against a server that only speaks
-/// wo-serve/1 the client transparently degrades to per-request queries.
-/// Hedging does not apply: the batch itself amortizes tail latency.
+/// rest of the batch is unaffected. A frame the daemon rejects whole is a
+/// [`ClientError::Permanent`]: keep `max_batch_items` at or below the
+/// daemon's `--max-batch-items`. Hedging does not apply: the batch itself
+/// amortizes tail latency.
 pub struct BatchClient {
     cfg: ClientConfig,
     rng: SplitMix64,
@@ -345,7 +347,9 @@ impl BatchClient {
     /// # Errors
     ///
     /// [`ClientError::Exhausted`] once `max_attempts` transient failures
-    /// accumulate on any chunk.
+    /// accumulate on any chunk; [`ClientError::Permanent`] at once if the
+    /// daemon rejects a chunk's frame whole (for example, a chunk larger
+    /// than its `--max-batch-items`).
     pub fn query_batch(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
         let chunk_size = self.max_batch_items.max(1);
         let mut out = Vec::with_capacity(requests.len());
@@ -373,7 +377,10 @@ impl BatchClient {
                     return Ok(answers.into_iter().map(|a| a.expect("complete")).collect());
                 }
                 Ok(AttemptOutcome::Partial(msg)) => last = msg,
-                Ok(AttemptOutcome::V1Server) => return self.fallback_v1(chunk, answers),
+                Ok(AttemptOutcome::Rejected(code, message)) => {
+                    self.conn = None;
+                    return Err(ClientError::Permanent { code, message });
+                }
                 Err(e) => {
                     self.conn = None;
                     last = e;
@@ -470,13 +477,14 @@ impl BatchClient {
                     (id, response)
                 }
                 _ => {
-                    // A bare v1 frame in answer to a batch: classify it.
+                    // A bare v1 frame in answer to a batch: the daemon
+                    // rejected the frame whole. Classify it.
                     return match Response::decode(&payload) {
-                        Ok(Response::Error { code: ErrorCode::Malformed, .. }) => {
-                            Ok(AttemptOutcome::V1Server)
-                        }
                         Ok(Response::Error { code, message }) if code.is_retryable() => {
                             Err(format!("server error {}: {message}", code.as_str()))
+                        }
+                        Ok(Response::Error { code, message }) => {
+                            Ok(AttemptOutcome::Rejected(code, message))
                         }
                         Ok(other) => {
                             Err(format!("unexpected v1 frame {other:?} to a batch"))
@@ -502,29 +510,6 @@ impl BatchClient {
             Some(msg) => AttemptOutcome::Partial(msg),
             None => AttemptOutcome::Complete,
         })
-    }
-
-    /// Per-request fallback for a wo-serve/1 server: every unanswered
-    /// item goes through the retrying v1 client.
-    fn fallback_v1(
-        &mut self,
-        chunk: &[Request],
-        mut answers: Vec<Option<Response>>,
-    ) -> Result<Vec<Response>, ClientError> {
-        self.conn = None;
-        let mut single = ServeClient::new(self.cfg.clone());
-        for (i, slot) in answers.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(match single.query(&chunk[i]) {
-                    Ok(response) => response,
-                    Err(ClientError::Permanent { code, message }) => {
-                        Response::Error { code, message }
-                    }
-                    Err(e) => return Err(e),
-                });
-            }
-        }
-        Ok(answers.into_iter().map(|a| a.expect("filled above")).collect())
     }
 
     fn ensure_conn(&mut self) -> Result<(), String> {

@@ -1216,9 +1216,9 @@ pub fn encode_batch_result(id: u64, response_payload: &[u8]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// A human-readable reason if the payload is not a v2 result frame — a v1
-/// server answers a batch frame with a plain v1 error, which is how the
-/// client discovers it must fall back.
+/// A human-readable reason if the payload is not a v2 result frame — the
+/// daemon answers a structurally damaged batch frame (or one with more
+/// items than it allows) with a plain v1 error instead.
 pub fn decode_batch_result(payload: &[u8]) -> Result<(u64, &[u8]), String> {
     let newline =
         payload.iter().position(|&b| b == b'\n').ok_or("result frame missing first line")?;

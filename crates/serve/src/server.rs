@@ -1,6 +1,15 @@
 //! The daemon: accept loop, per-connection threads, admission control,
 //! and the degradation ladder.
 //!
+//! There is one query path. A `wo-serve/2` batch item and a v1 request
+//! both become a `Query` in `prepare_request` (ping/stats, kind check,
+//! parse, canonicalize), and every canonical key is answered by `resolve`
+//! (cache probe, coalesced wait, admission, budget clamping, exploration)
+//! and rendered by `item_response`. A v1 request is a batch of one: the
+//! same three steps, then one response in v1 framing. What only batches
+//! have — tagged results, race blocks, the encode memo, one write per key
+//! — lives in `resolve_key`.
+//!
 //! Every request walks the same ladder, preferring cheap honest answers
 //! over expensive or hung ones:
 //!
@@ -326,13 +335,17 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         Err(_) => return,
     };
     // Batch resolution streams results from pool workers, so writes go
-    // through a mutex. v1 responses take the same (uncontended) path.
+    // through a mutex. A v1 request is a batch of one, resolved on this
+    // thread through the same `prepare_request`/`resolve` path; its one
+    // response goes out in v1 framing through the same (uncontended)
+    // mutex.
     let writer = Mutex::new(stream);
     let mut trace = TraceSession::default();
     let read_cap = shared.cfg.max_frame_bytes.max(shared.cfg.max_batch_frame_bytes);
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             let _ = write_locked(
+                shared,
                 &writer,
                 &Response::Error {
                     code: ErrorCode::ShuttingDown,
@@ -355,6 +368,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 // Oversized frame: answer honestly, then drop the
                 // connection (the stream offset is unrecoverable).
                 let _ = write_locked(
+                    shared,
                     &writer,
                     &Response::Error { code: ErrorCode::TooLarge, message: e.to_string() }
                         .encode(),
@@ -374,6 +388,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         // as if `read_frame` had rejected it.
         if payload.len() > shared.cfg.max_frame_bytes {
             let _ = write_locked(
+                shared,
                 &writer,
                 &Response::Error {
                     code: ErrorCode::TooLarge,
@@ -392,36 +407,26 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         // Internal error on this one request (the LeaderGuard's Drop has
         // already unwedged any coalesced waiters).
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_payload(shared, &payload)
+            answer_v1(shared, &payload)
         }))
         .unwrap_or_else(|_| Response::Error {
             code: ErrorCode::Internal,
             message: "request handler panicked".into(),
         });
-        shared.counters.served.fetch_add(1, Ordering::Relaxed);
-        if write_locked(&writer, &response.encode()).is_err() {
+        if write_locked(shared, &writer, &response.encode()).is_err() {
             return;
         }
     }
 }
 
-fn write_locked(writer: &Mutex<TcpStream>, payload: &[u8]) -> io::Result<()> {
+/// Writes one untagged (v1-framed) response frame and counts it in
+/// `served`. Every untagged frame goes through here: v1 responses, the
+/// `TooLarge` and `ShuttingDown` errors, and the error that answers a
+/// structurally damaged batch frame.
+fn write_locked(shared: &Shared, writer: &Mutex<TcpStream>, payload: &[u8]) -> io::Result<()> {
+    shared.counters.served.fetch_add(1, Ordering::Relaxed);
     let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
     write_frame(&mut *w, payload)
-}
-
-fn handle_payload(shared: &Shared, payload: &[u8]) -> Response {
-    let request = match Request::decode(payload) {
-        Ok(r) => r,
-        Err(reason) => {
-            return Response::Error { code: ErrorCode::Malformed, message: reason }
-        }
-    };
-    match request.kind {
-        QueryKind::Ping => Response::Pong,
-        QueryKind::Stats => Response::Stats(snapshot_stats(shared)),
-        _ => handle_query(shared, &request),
-    }
 }
 
 fn snapshot_stats(shared: &Shared) -> ServerStats {
@@ -482,102 +487,192 @@ fn effective_deadline(shared: &Shared, requested: Option<u64>) -> Option<Instant
     deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms))
 }
 
-fn handle_query(shared: &Shared, request: &Request) -> Response {
-    let Some(group) = kind_group(request.kind) else {
-        return Response::Error {
-            code: ErrorCode::Malformed,
-            message: "query kind carries no body".into(),
-        };
+// ---------------------------------------------------------------------
+// The query path: prepare, resolve, respond
+// ---------------------------------------------------------------------
+
+/// A verdict query, parsed and canonicalized, awaiting resolution. A v1
+/// request becomes one with `id` 0; a batch item keeps its tag.
+struct Query {
+    id: u64,
+    kind: QueryKind,
+    group: KindGroup,
+    deadline_ms: Option<u64>,
+    max_total_steps: Option<usize>,
+    max_ops_per_execution: Option<usize>,
+    form: CanonicalForm,
+}
+
+/// All per-request work that needs no shared state but a stats
+/// snapshot: ping/stats, the kind check, parse, canonicalize. Returns
+/// `Immediate` when the request is answered without resolution, else
+/// `Query`; never `Trace`.
+fn prepare_request(shared: &Shared, id: u64, request: Request) -> Prepared {
+    let error = |code, message| Prepared::Immediate(id, Response::Error { code, message });
+    let group = match request.kind {
+        QueryKind::Ping => return Prepared::Immediate(id, Response::Pong),
+        QueryKind::Stats => return Prepared::Immediate(id, Response::Stats(snapshot_stats(shared))),
+        kind => match kind_group(kind) {
+            Some(group) => group,
+            None => return error(ErrorCode::Malformed, "query kind carries no body".into()),
+        },
     };
-    let program = match litmus::parse::parse_program(&request.program) {
-        Ok(p) => p,
-        Err(e) => {
-            return Response::Error { code: ErrorCode::Parse, message: e.to_string() }
+    match litmus::parse::parse_program(&request.program) {
+        Ok(program) => Prepared::Query(Query {
+            id,
+            kind: request.kind,
+            group,
+            deadline_ms: request.deadline_ms,
+            max_total_steps: request.max_total_steps,
+            max_ops_per_execution: request.max_ops_per_execution,
+            form: canonicalize(&program),
+        }),
+        Err(e) => error(ErrorCode::Parse, e.to_string()),
+    }
+}
+
+/// How one canonical key resolved, for every query that shares it.
+enum Resolution {
+    /// The key's answer. The first submission is told `first`, every
+    /// later one `rest`.
+    Answered { answer: Arc<CachedAnswer>, first: CacheStatus, rest: CacheStatus },
+    /// A structured error every submission receives.
+    Failed(ErrorCode, &'static str),
+    /// The deadline passed before any exploration ran on the key's
+    /// behalf (queued too long, or a coalesced wait timed out).
+    DeadlineExpired,
+}
+
+impl Resolution {
+    /// The answer and cache status for the submission at `pos`, if the
+    /// key was answered.
+    fn answer_at(&self, pos: usize) -> Option<(&CachedAnswer, CacheStatus)> {
+        match self {
+            Resolution::Answered { answer, first, rest } => {
+                Some((answer, if pos == 0 { *first } else { *rest }))
+            }
+            _ => None,
         }
-    };
+    }
+}
 
-    let deadline = effective_deadline(shared, request.deadline_ms);
-
-    let form = canonicalize(&program);
-
-    match shared.cache.lookup(group, &form.text) {
-        Lookup::Hit(answer) => {
-            answer_to_response(request.kind, &answer, &form, CacheStatus::Hit)
-        }
+/// Resolves one canonical key for `n` submissions of it, `leader` being
+/// the first: its deadline and budgets govern the shared work, exactly as
+/// an in-flight leader's budgets govern what cross-connection joiners
+/// receive. This is the daemon's only cache probe, coalesced wait,
+/// admission and exploration, and it keeps the counters those steps move
+/// (`degraded` once per submission told a degraded answer). Returns the
+/// journal record when a fresh definitive answer should be persisted;
+/// the caller journals it, so a batch journals all its keys at once.
+fn resolve(shared: &Shared, leader: &Query, n: usize) -> (Resolution, Option<JournalRecord>) {
+    let n = n as u64;
+    let deadline = effective_deadline(shared, leader.deadline_ms);
+    let mut record = None;
+    let resolution = match shared.cache.lookup(leader.group, &leader.form.text) {
+        Lookup::Hit(answer) => Resolution::Answered {
+            answer,
+            first: CacheStatus::Hit,
+            rest: CacheStatus::Hit,
+        },
         Lookup::Join(flight) => match flight.wait(deadline) {
-            Some(FlightOutcome::Answered(answer)) => {
-                if !answer.is_definitive() {
-                    shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                }
-                answer_to_response(request.kind, &answer, &form, CacheStatus::Coalesced)
-            }
-            Some(FlightOutcome::Failed) => Response::Error {
-                code: ErrorCode::Internal,
-                message: "exploration worker lost".into(),
+            Some(FlightOutcome::Answered(answer)) => Resolution::Answered {
+                answer,
+                first: CacheStatus::Coalesced,
+                rest: CacheStatus::Coalesced,
             },
-            None => {
-                shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                deadline_degraded(request.kind)
+            Some(FlightOutcome::Failed) => {
+                Resolution::Failed(ErrorCode::Internal, "exploration worker lost")
             }
+            None => Resolution::DeadlineExpired,
         },
         Lookup::Lead(guard) => match shared.gate.admit(deadline) {
             Admission::Rejected => {
-                shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
                 drop(guard); // waiters get Failed and retry or surface it
-                Response::Error {
-                    code: ErrorCode::Overloaded,
-                    message: "exploration queue full".into(),
-                }
+                shared.counters.overloaded.fetch_add(n, Ordering::Relaxed);
+                Resolution::Failed(ErrorCode::Overloaded, "exploration queue full")
             }
             Admission::TimedOut => {
-                shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
                 drop(guard);
-                deadline_degraded(request.kind)
+                Resolution::DeadlineExpired
             }
             Admission::Granted(permit) => {
                 let mut ecfg = shared.cfg.explore;
-                if let Some(steps) = request.max_total_steps {
+                if let Some(steps) = leader.max_total_steps {
                     ecfg.max_total_steps = steps.min(shared.cfg.explore.max_total_steps);
                 }
-                if let Some(ops) = request.max_ops_per_execution {
+                if let Some(ops) = leader.max_ops_per_execution {
                     ecfg.max_ops_per_execution =
                         ops.min(shared.cfg.explore.max_ops_per_execution);
                 }
                 ecfg.deadline = deadline;
 
-                let answer = compute_answer(group, &form.program, &ecfg);
+                let answer = compute_answer(leader.group, &leader.form.program, &ecfg);
                 shared.counters.explored.fetch_add(1, Ordering::Relaxed);
-                if !answer.is_definitive() {
-                    shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                }
-                let shared_answer = guard.complete(answer);
+                let answer = guard.complete(answer);
                 drop(permit);
+                if n > 1 {
+                    shared.counters.coalesced_in_batch.fetch_add(n - 1, Ordering::Relaxed);
+                }
 
-                persist(shared, group, &form.text, &shared_answer);
-                answer_to_response(request.kind, &shared_answer, &form, CacheStatus::Miss)
+                // The leader sees Miss; followers of a definitive answer
+                // see Hit — byte-for-byte what a sequential per-request
+                // client would have been told.
+                let definitive = answer.is_definitive();
+                record = definitive.then(|| JournalRecord {
+                    group: leader.group,
+                    key: leader.form.text.clone(),
+                    answer: (*answer).clone(),
+                });
+                let rest = if definitive { CacheStatus::Hit } else { CacheStatus::Miss };
+                Resolution::Answered { answer, first: CacheStatus::Miss, rest }
             }
         },
+    };
+    let degraded = match &resolution {
+        Resolution::Answered { answer, .. } => !answer.is_definitive(),
+        Resolution::Failed(..) => false,
+        Resolution::DeadlineExpired => true,
+    };
+    if degraded {
+        shared.counters.degraded.fetch_add(n, Ordering::Relaxed);
+    }
+    (resolution, record)
+}
+
+/// The response the submission at `pos` of a resolved key receives.
+fn item_response(resolution: &Resolution, query: &Query, pos: usize) -> Response {
+    if let Some((answer, status)) = resolution.answer_at(pos) {
+        return answer_to_response(query.kind, answer, &query.form, status);
+    }
+    match resolution {
+        Resolution::Failed(code, message) => {
+            Response::Error { code: *code, message: (*message).into() }
+        }
+        _ => deadline_degraded(query.kind),
     }
 }
 
-/// Journals a definitive answer and compacts when the interval is due.
-/// Journal failures are deliberately non-fatal: the daemon keeps serving
-/// from memory (durability degrades, correctness does not).
-fn persist(shared: &Shared, group: KindGroup, key: &str, answer: &CachedAnswer) {
-    if !answer.is_definitive() {
-        return;
-    }
-    let mut journal = shared.journal.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(j) = journal.as_mut() else { return };
-    let record = JournalRecord { group, key: key.to_string(), answer: answer.clone() };
-    if let Ok(true) = j.append(&record) {
-        compact_now(shared, j);
-    }
+/// Answers one v1 request as a batch of one. A fresh definitive answer
+/// is journaled here, before the caller writes the response, so journal
+/// work never lands inside the client's next request.
+fn answer_v1(shared: &Shared, payload: &[u8]) -> Response {
+    let request = match Request::decode(payload) {
+        Ok(r) => r,
+        Err(reason) => return Response::Error { code: ErrorCode::Malformed, message: reason },
+    };
+    let query = match prepare_request(shared, 0, request) {
+        Prepared::Query(query) => query,
+        Prepared::Immediate(_, response) => return response,
+        Prepared::Trace(_) => unreachable!("a v1 request is never a trace item"),
+    };
+    let (resolution, record) = resolve(shared, &query, 1);
+    persist_batch(shared, record.as_slice());
+    item_response(&resolution, &query, 0)
 }
 
-/// Journals a whole batch's definitive answers with one write + one
-/// flush, compacting at most once. Same non-fatal failure policy as
-/// [`persist`].
+/// Journals definitive answers with one write + one flush, compacting at
+/// most once. Journal failures are deliberately non-fatal: the daemon
+/// keeps serving from memory (durability degrades, correctness does not).
 fn persist_batch(shared: &Shared, records: &[JournalRecord]) {
     if records.is_empty() {
         return;
@@ -622,25 +717,8 @@ enum Prepared {
     /// A trace item, decoded; applied sequentially in submission order
     /// (the checker is per-connection stream state).
     Trace(BatchItem),
-    /// A verdict query, parsed and canonicalized, awaiting resolution.
-    Query {
-        id: u64,
-        kind: QueryKind,
-        group: KindGroup,
-        deadline_ms: Option<u64>,
-        max_total_steps: Option<usize>,
-        max_ops_per_execution: Option<usize>,
-        form: CanonicalForm,
-    },
-}
-
-/// Query items sharing one canonical key: resolved once, answered for
-/// every item. `item_idxs[0]` is the first submission and provides the
-/// deadline and budgets for the shared exploration.
-struct KeyWork {
-    group: KindGroup,
-    key: String,
-    item_idxs: Vec<usize>,
+    /// A verdict query awaiting resolution.
+    Query(Query),
 }
 
 /// Appends one tagged, length-prefixed result frame to `out`. The
@@ -693,8 +771,8 @@ fn send_result(
 }
 
 /// Decodes one batch item and does all per-item work that needs no
-/// shared state: cap check, decode, parse, canonicalize. Runs on the
-/// pool, so everything here is the parallel part of the hot path.
+/// shared state: cap check, decode, then [`prepare_request`]. Runs on
+/// the pool, so everything here is the parallel part of the hot path.
 fn prepare_item(shared: &Shared, item: &[u8]) -> Prepared {
     let fallback_id = peek_item_id(item).unwrap_or(u64::MAX);
     // The per-item cap is the v1 frame cap: a batch must not smuggle in
@@ -725,36 +803,7 @@ fn prepare_item(shared: &Shared, item: &[u8]) -> Prepared {
     let BatchItem::Query { id, request } = item else {
         return Prepared::Trace(item);
     };
-    match request.kind {
-        QueryKind::Ping => Prepared::Immediate(id, Response::Pong),
-        QueryKind::Stats => Prepared::Immediate(id, Response::Stats(snapshot_stats(shared))),
-        kind => {
-            let Some(group) = kind_group(kind) else {
-                return Prepared::Immediate(
-                    id,
-                    Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: "query kind carries no body".into(),
-                    },
-                );
-            };
-            match litmus::parse::parse_program(&request.program) {
-                Err(e) => Prepared::Immediate(
-                    id,
-                    Response::Error { code: ErrorCode::Parse, message: e.to_string() },
-                ),
-                Ok(program) => Prepared::Query {
-                    id,
-                    kind,
-                    group,
-                    deadline_ms: request.deadline_ms,
-                    max_total_steps: request.max_total_steps,
-                    max_ops_per_execution: request.max_ops_per_execution,
-                    form: canonicalize(&program),
-                },
-            }
-        }
-    }
+    prepare_request(shared, id, request)
 }
 
 /// Applies one trace item to the connection's stream checker. Successful
@@ -827,23 +876,23 @@ fn handle_trace_item(
     }
 }
 
-/// Resolves one canonical key for every batch item that mapped to it and
-/// streams their tagged results. Returns the journal record when a fresh
-/// definitive answer should be persisted (journaling is batched by the
+/// Resolves one canonical key for the batch submissions `idxs` (indices
+/// into `queries`, first submission first) and streams their tagged
+/// results. Only the framing is batch-specific: tagged results, race
+/// blocks, the encode memo, `shed_items`, and one write per key. Returns
+/// the journal record from [`resolve`] (journaling is batched by the
 /// caller). Write errors are swallowed: the connection is already dead
 /// and the read loop notices on its next turn.
 fn resolve_key(
     shared: &Shared,
     writer: &Mutex<TcpStream>,
-    prepared: &[Prepared],
-    work: &KeyWork,
+    queries: &[Query],
+    idxs: &[usize],
 ) -> Option<JournalRecord> {
-    let query = |idx: usize| -> (&u64, &QueryKind, &CanonicalForm) {
-        match &prepared[idx] {
-            Prepared::Query { id, kind, form, .. } => (id, kind, form),
-            _ => unreachable!("KeyWork indexes only Query items"),
-        }
-    };
+    let (resolution, record) = resolve(shared, &queries[idxs[0]], idxs.len());
+    if let Resolution::Failed(ErrorCode::Overloaded, _) = resolution {
+        shared.counters.shed_items.fetch_add(idxs.len() as u64, Ordering::Relaxed);
+    }
     // Results for the whole key accumulate here and go out in one write
     // (nothing is buffered before a blocking wait, so streaming latency
     // is unaffected: the flush happens as soon as the key has answers).
@@ -864,17 +913,19 @@ fn resolve_key(
     // renamed near-duplicates of a heavily racy program re-encodes (and
     // the client re-parses) thousands of identical race lines per item.
     let mut race_block: Option<u64> = None;
-    let mut respond = |out: &mut Vec<u8>, idx: usize, answer: &CachedAnswer, status: CacheStatus| {
-        let (id, kind, form) = query(idx);
-        if !answer.is_definitive() {
-            shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-        }
+    let mut out = Vec::new();
+    for (pos, &qi) in idxs.iter().enumerate() {
+        let query @ Query { id, kind, form, .. } = &queries[qi];
+        let Some((answer, status)) = resolution.answer_at(pos) else {
+            push_result(shared, &mut out, *id, &item_response(&resolution, query, pos));
+            continue;
+        };
         if let CachedAnswer::Explore { racy, races, steps, definitive, reason } = answer {
             if races.len() >= RACE_BLOCK_MIN_RACES
                 && matches!(kind, QueryKind::Drf0 | QueryKind::Races)
             {
                 let block_id = *race_block.get_or_insert_with(|| {
-                    push_frame(out, &encode_batch_race_block(*id, races));
+                    push_frame(&mut out, &encode_batch_race_block(*id, races));
                     *id
                 });
                 let rref = ResultRef {
@@ -887,8 +938,8 @@ fn resolve_key(
                     loc_unmap: form.loc_unmap.clone(),
                 };
                 shared.counters.served.fetch_add(1, Ordering::Relaxed);
-                push_frame(out, &encode_batch_result_ref(&rref));
-                return;
+                push_frame(&mut out, &encode_batch_result_ref(&rref));
+                continue;
             }
         }
         // The memo only pays off when responses are large (inline race
@@ -897,21 +948,13 @@ fn resolve_key(
         // probing would be pure overhead.
         let large = matches!(answer, CachedAnswer::Explore { races, .. } if !races.is_empty());
         if !large {
-            push_result_payload(
-                shared,
-                out,
-                *id,
-                &answer_to_response(*kind, answer, form, status).encode(),
-            );
-            return;
+            push_result(shared, &mut out, *id, &item_response(&resolution, query, pos));
+            continue;
         }
-        let pos = memo
+        let slot = memo
             .iter()
             .position(|(k, s, tu, lu, _)| {
-                *k == *kind
-                    && *s == status
-                    && *tu == form.thread_unmap
-                    && *lu == form.loc_unmap
+                k == kind && *s == status && *tu == form.thread_unmap && *lu == form.loc_unmap
             })
             .unwrap_or_else(|| {
                 memo.push((
@@ -923,118 +966,8 @@ fn resolve_key(
                 ));
                 memo.len() - 1
             });
-        push_result_payload(shared, out, *id, &memo[pos].4);
-    };
-    let error_all = |out: &mut Vec<u8>, code: ErrorCode, message: &str| {
-        for &idx in &work.item_idxs {
-            let (id, _, _) = query(idx);
-            push_result(shared, out, *id, &Response::Error { code, message: message.into() });
-        }
-    };
-    let degrade_all = |out: &mut Vec<u8>| {
-        for &idx in &work.item_idxs {
-            let (id, kind, _) = query(idx);
-            shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-            push_result(shared, out, *id, &deadline_degraded(*kind));
-        }
-    };
-
-    // The first submission of the key leads: its deadline and budgets
-    // govern the shared exploration, exactly as the v1 coalescing path
-    // lets the in-flight leader's budgets govern what joiners receive.
-    let leader = work.item_idxs[0];
-    let (deadline_ms, max_total_steps, max_ops_per_execution) = match &prepared[leader] {
-        Prepared::Query { deadline_ms, max_total_steps, max_ops_per_execution, .. } => {
-            (*deadline_ms, *max_total_steps, *max_ops_per_execution)
-        }
-        _ => unreachable!("KeyWork indexes only Query items"),
-    };
-    let deadline = effective_deadline(shared, deadline_ms);
-
-    let mut out = Vec::new();
-    let record = match shared.cache.lookup(work.group, &work.key) {
-        Lookup::Hit(answer) => {
-            for &idx in &work.item_idxs {
-                respond(&mut out, idx, &answer, CacheStatus::Hit);
-            }
-            None
-        }
-        Lookup::Join(flight) => match flight.wait(deadline) {
-            Some(FlightOutcome::Answered(answer)) => {
-                for &idx in &work.item_idxs {
-                    respond(&mut out, idx, &answer, CacheStatus::Coalesced);
-                }
-                None
-            }
-            Some(FlightOutcome::Failed) => {
-                error_all(&mut out, ErrorCode::Internal, "exploration worker lost");
-                None
-            }
-            None => {
-                degrade_all(&mut out);
-                None
-            }
-        },
-        Lookup::Lead(guard) => match shared.gate.admit(deadline) {
-            Admission::Rejected => {
-                drop(guard);
-                let n = work.item_idxs.len() as u64;
-                shared.counters.overloaded.fetch_add(n, Ordering::Relaxed);
-                shared.counters.shed_items.fetch_add(n, Ordering::Relaxed);
-                error_all(&mut out, ErrorCode::Overloaded, "exploration queue full");
-                None
-            }
-            Admission::TimedOut => {
-                drop(guard);
-                degrade_all(&mut out);
-                None
-            }
-            Admission::Granted(permit) => {
-                let mut ecfg = shared.cfg.explore;
-                if let Some(steps) = max_total_steps {
-                    ecfg.max_total_steps = steps.min(shared.cfg.explore.max_total_steps);
-                }
-                if let Some(ops) = max_ops_per_execution {
-                    ecfg.max_ops_per_execution =
-                        ops.min(shared.cfg.explore.max_ops_per_execution);
-                }
-                ecfg.deadline = deadline;
-
-                let form_program = match &prepared[leader] {
-                    Prepared::Query { form, .. } => &form.program,
-                    _ => unreachable!("KeyWork indexes only Query items"),
-                };
-                let answer = compute_answer(work.group, form_program, &ecfg);
-                shared.counters.explored.fetch_add(1, Ordering::Relaxed);
-                let shared_answer = guard.complete(answer);
-                drop(permit);
-
-                let definitive = shared_answer.is_definitive();
-                for (pos, &idx) in work.item_idxs.iter().enumerate() {
-                    // The leader sees Miss; followers of a definitive
-                    // answer see Hit — byte-for-byte what a sequential
-                    // per-request client would have been told.
-                    let status = if pos == 0 || !definitive {
-                        CacheStatus::Miss
-                    } else {
-                        CacheStatus::Hit
-                    };
-                    respond(&mut out, idx, &shared_answer, status);
-                }
-                if work.item_idxs.len() > 1 {
-                    shared
-                        .counters
-                        .coalesced_in_batch
-                        .fetch_add(work.item_idxs.len() as u64 - 1, Ordering::Relaxed);
-                }
-                definitive.then(|| JournalRecord {
-                    group: work.group,
-                    key: work.key.clone(),
-                    answer: (*shared_answer).clone(),
-                })
-            }
-        },
-    };
+        push_result_payload(shared, &mut out, *id, &memo[slot].4);
+    }
     let _ = flush_results(writer, &mut out);
     record
 }
@@ -1056,8 +989,8 @@ fn handle_batch(
             // Structural damage to the frame itself: no item is
             // attributable, so answer once (v1 framing) and drop the
             // connection.
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
             let _ = write_locked(
+                shared,
                 writer,
                 &Response::Error { code: ErrorCode::Malformed, message: reason }.encode(),
             );
@@ -1090,57 +1023,55 @@ fn handle_batch(
 
     // Phase B — sequential, submission order: immediate results, trace
     // stream application, and coalescing queries per canonical key.
+    // `keys` holds, per unique key, the indices into `queries` of its
+    // submissions; the first one leads.
+    let mut queries: Vec<Query> = Vec::new();
     let mut key_index: HashMap<(KindGroup, String), usize> = HashMap::new();
-    let mut keys: Vec<KeyWork> = Vec::new();
-    for (idx, prep) in prepared.iter().enumerate() {
+    let mut keys: Vec<Vec<usize>> = Vec::new();
+    for prep in prepared {
         match prep {
             Prepared::Immediate(id, response) => {
-                send_result(shared, writer, *id, response)?;
+                send_result(shared, writer, id, &response)?;
             }
             Prepared::Trace(item) => {
-                handle_trace_item(shared, writer, trace, item)?;
+                handle_trace_item(shared, writer, trace, &item)?;
             }
-            Prepared::Query { group, form, .. } => {
+            Prepared::Query(query) => {
                 let slot = *key_index
-                    .entry((*group, form.text.clone()))
+                    .entry((query.group, query.form.text.clone()))
                     .or_insert_with(|| {
-                        keys.push(KeyWork {
-                            group: *group,
-                            key: form.text.clone(),
-                            item_idxs: Vec::new(),
-                        });
+                        keys.push(Vec::new());
                         keys.len() - 1
                     });
-                keys[slot].item_idxs.push(idx);
+                keys[slot].push(queries.len());
+                queries.push(query);
             }
         }
     }
 
-    // Phase C — parallel: one cache probe / exploration per unique key,
-    // results streamed out of order as keys complete.
+    // Phase C — parallel: one resolution per unique key, results
+    // streamed out of order as keys complete.
     let records: Vec<Option<JournalRecord>> = run_with_worker(
         keys.len(),
         shared.cfg.pool_threads,
         || (),
         |(), ki| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                resolve_key(shared, writer, &prepared, &keys[ki])
+                resolve_key(shared, writer, &queries, &keys[ki])
             }))
             .unwrap_or_else(|_| {
                 // The LeaderGuard's Drop already published Failed to any
                 // cross-connection joiners; answer this batch's items.
-                for &idx in &keys[ki].item_idxs {
-                    if let Prepared::Query { id, .. } = &prepared[idx] {
-                        let _ = send_result(
-                            shared,
-                            writer,
-                            *id,
-                            &Response::Error {
-                                code: ErrorCode::Internal,
-                                message: "exploration panicked".into(),
-                            },
-                        );
-                    }
+                for &qi in &keys[ki] {
+                    let _ = send_result(
+                        shared,
+                        writer,
+                        queries[qi].id,
+                        &Response::Error {
+                            code: ErrorCode::Internal,
+                            message: "exploration panicked".into(),
+                        },
+                    );
                 }
                 None
             })
@@ -1151,7 +1082,6 @@ fn handle_batch(
     persist_batch(shared, &records);
     Ok(())
 }
-
 
 #[cfg(test)]
 mod tests {

@@ -23,7 +23,7 @@ use litmus::explore::{explore_dpor, ExploreConfig};
 use memory_model::SyncMode;
 use wo_fuzz::{generate, GenConfig};
 use wo_serve::cache::SHARD_COUNT;
-use wo_serve::client::{BatchClient, ClientConfig, ServeClient};
+use wo_serve::client::{BatchClient, ClientConfig, ClientError, ServeClient};
 use wo_serve::protocol::{
     batch_depth_bucket, encode_batch_frame, read_frame, write_frame, BatchItem, ErrorCode,
     QueryKind, Request, Response,
@@ -194,6 +194,28 @@ fn batches_over_the_item_limit_are_rejected_whole() {
         other => panic!("unexpected {other:?}"),
     }
     assert!(read_frame(&mut &stream, 1 << 20).unwrap().is_none(), "connection dropped");
+    handle.shutdown();
+}
+
+#[test]
+fn a_client_batch_over_the_daemons_item_limit_fails_permanently() {
+    let cfg = ServerConfig { max_batch_items: 4, ..ServerConfig::default() };
+    let handle = Server::spawn(cfg).expect("spawn server");
+    let mut client = BatchClient::new(client_cfg(&handle));
+    client.max_batch_items = 5;
+
+    // The client's chunk of five exceeds the daemon's cap of four: the
+    // daemon rejects the frame whole, and the client reports that rather
+    // than retrying it or re-sending the items some other way.
+    let requests: Vec<Request> = (0..5).map(|_| Request::new(QueryKind::Ping, "")).collect();
+    match client.query_batch(&requests) {
+        Err(ClientError::Permanent { code: ErrorCode::Malformed, message }) => {
+            assert!(message.contains("item"), "{message}");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(client.sent_items(), 5, "the rejected frame is not resubmitted");
+    assert_eq!(client.resubmitted_items(), 0);
     handle.shutdown();
 }
 

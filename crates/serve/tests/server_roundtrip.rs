@@ -3,11 +3,15 @@
 //! ladder (miss → hit), journal persistence across a restart, structured
 //! parse failures, and ping/stats.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use wo_serve::client::{ClientConfig, ServeClient};
-use wo_serve::protocol::{CacheStatus, QueryKind, Request, Response, Verdict};
+use wo_serve::client::{ClientConfig, ClientError, ServeClient};
+use wo_serve::protocol::{
+    read_frame, CacheStatus, ErrorCode, QueryKind, Request, Response, ServerStats, Verdict,
+};
 use wo_serve::server::{Server, ServerConfig, ServerHandle};
 
 const RACY_MP: &str = "P0:\n  W(m5) := 1\n  Set(m6) := 1\nP1:\n  r0 := Test(m6)\n  r1 := R(m5)\n";
@@ -188,5 +192,85 @@ fn concurrent_identical_misses_coalesce_to_one_exploration() {
         }
         other => panic!("unexpected {other:?}"),
     }
+    handle.shutdown();
+}
+
+fn stats_of(client: &mut ServeClient) -> ServerStats {
+    match client.query(&Request::new(QueryKind::Stats, "")).expect("stats") {
+        Response::Stats(stats) => stats,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+#[test]
+fn v1_traffic_moves_each_counter_by_exactly_its_share() {
+    let handle = spawn(None);
+    let mut client = client_for(&handle);
+
+    // `(served, explored, cache_hits, degraded)` gained since `before`.
+    // A stats snapshot is taken before its own response is written, so
+    // every delta includes the previous stats response in `served`.
+    let step = |client: &mut ServeClient, before: &ServerStats| -> (ServerStats, [u64; 4]) {
+        let after = stats_of(client);
+        assert_eq!(after.shed_items, 0, "v1 traffic sheds no batch items");
+        assert_eq!(after.coalesced_in_batch, 0, "v1 traffic coalesces nothing in a batch");
+        assert!(after.batch_depth.iter().all(|&n| n == 0), "no batch: {after:?}");
+        assert_eq!(after.coalesced, 0);
+        assert_eq!(after.overloaded, 0);
+        let delta = [
+            after.served - before.served,
+            after.explored - before.explored,
+            after.cache_hits - before.cache_hits,
+            after.degraded - before.degraded,
+        ];
+        (after, delta)
+    };
+
+    let s0 = stats_of(&mut client);
+    assert_eq!(s0.served, 0, "fresh server");
+
+    match client.drf0(RACY_MP).expect("miss") {
+        Response::Verdict { cache: CacheStatus::Miss, .. } => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    let (s1, delta) = step(&mut client, &s0);
+    assert_eq!(delta, [2, 1, 0, 0], "miss: served, explored, cache_hits, degraded");
+
+    match client.drf0(RACY_MP).expect("hit") {
+        Response::Verdict { cache: CacheStatus::Hit, .. } => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    let (s2, delta) = step(&mut client, &s1);
+    assert_eq!(delta, [2, 0, 1, 0], "hit");
+
+    let mut starved = Request::new(QueryKind::Drf0, DRF_HANDOFF);
+    starved.max_total_steps = Some(3);
+    match client.query(&starved).expect("budget-degraded") {
+        Response::Verdict { verdict: Verdict::Unknown { .. }, .. } => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    let (s3, delta) = step(&mut client, &s2);
+    assert_eq!(delta, [2, 1, 0, 1], "budget-degraded answer");
+
+    match client.drf0("P0:\n  W(m0").expect_err("parse error") {
+        ClientError::Permanent { code: ErrorCode::Parse, .. } => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    let (s4, delta) = step(&mut client, &s3);
+    assert_eq!(delta, [2, 0, 0, 0], "parse error");
+
+    // A length prefix over every cap, on its own connection: answered
+    // with one TooLarge frame, then the connection is dropped.
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(&u32::MAX.to_be_bytes()).unwrap();
+    let payload = read_frame(&mut raw, 1 << 20).unwrap().expect("error frame");
+    match Response::decode(&payload).unwrap() {
+        Response::Error { code: ErrorCode::TooLarge, .. } => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(raw.read(&mut [0u8; 1]).unwrap_or(0), 0, "connection dropped");
+    let (_, delta) = step(&mut client, &s4);
+    assert_eq!(delta, [2, 0, 0, 0], "oversized frame counts once in served");
     handle.shutdown();
 }
